@@ -81,8 +81,8 @@ def simulate(
     trace_store=None,
     trace_mode: str | None = None,
     replay_memo: bool = True,
-    use_kernel: bool | None = None,
-    use_batch: bool | None = None,
+    use_kernel: bool = True,
+    use_batch: bool = True,
     memo_store=None,
     machine_factory=None,
     probe=None,
@@ -128,14 +128,15 @@ def simulate(
         replay_memo: enable the steady-state timing memo on replayed runs
             (exact by construction; set False for the belt-and-braces
             event-by-event replay path).
-        use_kernel: force the exec-compiled replay kernels on (True) or
-            off (False); ``None`` resolves through
-            :func:`repro.native.kernel.kernel_enabled` (CLI default, then
-            ``SCD_REPRO_KERNEL``, then on).
-        use_batch: force chunk-compiled batch (superblock) replay on
-            (True) or off (False) on top of the kernels; ``None``
-            resolves through :func:`repro.native.batch.batch_enabled`
-            (CLI default, then ``SCD_REPRO_BATCH``, then on).
+        use_kernel: replay through the exec-compiled kernels (default);
+            False selects the interpreted reference path.
+        use_batch: let trace replay run chunk-compiled superblocks on top
+            of the kernels (default); False selects the per-event kernel
+            reference path.  Results are byte-identical on every setting:
+            both keywords exist for the differential verifier, the
+            identity tests and the benchmark's plain-path check, and
+            they travel in :attr:`repro.harness.parallel.SimJob.kwargs`
+            so pool workers see them under any start method.
         memo_store: optional :class:`repro.harness.cache.MemoStore`.  When
             given together with a replayed trace and ``replay_memo``, the
             steady-state memo's transition table is loaded from (and, when

@@ -35,6 +35,7 @@ from repro.harness.cache import (
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.parallel import (
     METRICS,
+    resolve_job_timeout,
     set_default_job_timeout,
     set_default_retries,
     set_default_workers,
@@ -521,8 +522,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="scd-repro",
         description="Short-Circuit Dispatch (ISCA 2016) reproduction harness",
         # Without this, a subcommand option like `submit --n` is grabbed
-        # by the top-level abbreviation matcher (ambiguous against
-        # --no-kernel/--no-batch/--no-trace-cache) before dispatch.
+        # by the top-level abbreviation matcher (e.g. as a prefix of
+        # --no-trace-cache) before dispatch.
         allow_abbrev=False,
     )
     parser.add_argument(
@@ -568,20 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         "pool workers append to the same file (equivalent to "
         "SCD_TRACE_LOG; validate with 'python -m repro.obs PATH', "
         "schema in docs/OBSERVABILITY.md)",
-    )
-    parser.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help="disable the exec-compiled replay kernels for this invocation "
-        "and use the event-by-event interpreted path (equivalent to "
-        "SCD_REPRO_KERNEL=0; results are byte-identical either way)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable chunk-compiled batch (superblock) replay for this "
-        "invocation and fall back to the per-event kernels (equivalent "
-        "to SCD_REPRO_BATCH=0; results are byte-identical either way)",
     )
     trace_group = parser.add_mutually_exclusive_group()
     trace_group.add_argument(
@@ -882,6 +869,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.retries is not None:
         set_default_retries(args.retries)
     if args.job_timeout is not None:
+        try:
+            resolve_job_timeout(args.job_timeout)
+        except ValueError as exc:
+            parser.error(str(exc))
         set_default_job_timeout(args.job_timeout)
     if args.fault:
         spec_text = ",".join(args.fault)
@@ -891,14 +882,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         os.environ[faults.FAULT_ENV] = spec_text
         faults.reset_plan_cache()
-    if args.no_kernel:
-        from repro.native.kernel import set_kernel_enabled
-
-        set_kernel_enabled(False)
-    if args.no_batch:
-        from repro.native.batch import set_batch_enabled
-
-        set_batch_enabled(False)
     if args.record:
         set_default_trace_mode("record")
     elif args.replay:

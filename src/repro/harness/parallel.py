@@ -34,6 +34,7 @@ inherit them copy-on-write instead of re-assembling per process.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -145,8 +146,8 @@ def resolve_retries(retries: int | None = None) -> int:
 
     Priority: explicit argument, :func:`set_default_retries` (the CLI
     ``--retries`` flag), the ``SCD_REPRO_RETRIES`` environment variable,
-    then :data:`DEFAULT_RETRIES`.  A non-integer environment value is
-    warned about and ignored.
+    then :data:`DEFAULT_RETRIES`.  A non-integer or negative environment
+    value is warned about and ignored.
     """
     if retries is None:
         retries = DEFAULT_RETRIES_OVERRIDE
@@ -154,13 +155,18 @@ def resolve_retries(retries: int | None = None) -> int:
         env = os.environ.get("SCD_REPRO_RETRIES", "")
         if env:
             try:
-                retries = int(env)
+                value = int(env)
             except ValueError:
+                value = None
+            if value is None or value < 0:
                 warnings.warn(
-                    f"ignoring SCD_REPRO_RETRIES={env!r}: expected an integer",
+                    f"ignoring SCD_REPRO_RETRIES={env!r}: expected a "
+                    "non-negative integer",
                     RuntimeWarning,
                     stacklevel=2,
                 )
+            else:
+                retries = value
     if retries is None:
         retries = DEFAULT_RETRIES
     return max(0, int(retries))
@@ -173,25 +179,40 @@ def resolve_job_timeout(timeout: float | None = None) -> float | None:
     CLI ``--job-timeout`` flag), then ``SCD_REPRO_JOB_TIMEOUT``.  The
     clock starts at submission, so on a saturated pool queue wait counts
     against the budget; timeouts only apply to pooled execution (an
-    in-process job cannot be interrupted).
+    in-process job cannot be interrupted).  Zero or negative disables the
+    timeout.  A non-finite timeout (``inf``, ``nan``) is an error when
+    passed explicitly or installed by the CLI (:class:`ValueError`), and
+    warned about and ignored in the environment, like any other
+    malformed value.
     """
     if timeout is None:
         timeout = DEFAULT_JOB_TIMEOUT
-    if timeout is None:
+    if timeout is not None:
+        timeout = float(timeout)
+        if not math.isfinite(timeout):
+            raise ValueError(
+                "job timeout must be a finite number of seconds, "
+                f"got {timeout!r}"
+            )
+    else:
         env = os.environ.get("SCD_REPRO_JOB_TIMEOUT", "")
         if env:
             try:
-                timeout = float(env)
+                value = float(env)
             except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                timeout = value
+            else:
                 warnings.warn(
                     f"ignoring SCD_REPRO_JOB_TIMEOUT={env!r}: expected a "
-                    "number of seconds",
+                    "finite number of seconds",
                     RuntimeWarning,
                     stacklevel=2,
                 )
     if timeout is not None and timeout <= 0:
         return None
-    return float(timeout) if timeout is not None else None
+    return timeout
 
 
 def _retry_backoff_s(attempt: int) -> float:

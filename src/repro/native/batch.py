@@ -44,18 +44,20 @@ per-member, value burning only ever narrows an array load to its proven
 single value, and the inlined slow paths mirror the
 ``Cache``/``Tlb``/``Btb``/predictor update rules statement-for-statement
 (see the ``batch_*_lines`` helpers in :mod:`repro.uarch.pipeline`).
-``--no-batch`` / ``SCD_REPRO_BATCH=0`` preserves the per-event kernel
+The ``use_batch=False`` reference keyword keeps the per-event kernel
 path bit-for-bit, and batch replay rides on the same safety contract:
 only plain ``Machine`` bindings (``kernel.direct``), with memo
 boundaries flushing the shared deferred cells.
+
+:func:`batch_replay_for` is the one place that picks the replay rung
+for a recorded trace; :mod:`repro.vm.capture` only drives the range
+executor it returns, or its own interpreted loop when there is none.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import re
-import warnings
 from bisect import bisect_right
 
 from repro import obs
@@ -84,48 +86,6 @@ from repro.uarch.pipeline import (
     batch_ifetch_lines,
     batch_indirect_jump_lines,
 )
-
-#: Environment opt-out honoured when neither the call site nor the process
-#: default decides (mirrors ``SCD_REPRO_KERNEL`` resolution).
-BATCH_ENV = "SCD_REPRO_BATCH"
-
-_TRUE_WORDS = frozenset({"1", "true", "on", "yes"})
-_FALSE_WORDS = frozenset({"0", "false", "off", "no"})
-
-_DEFAULT_ENABLED: bool | None = None
-
-
-def set_batch_enabled(enabled: bool | None) -> None:
-    """Set the process-wide batch default (the CLI's ``--no-batch``).
-
-    ``None`` restores deferral to the environment variable.
-    """
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = enabled
-
-
-def batch_enabled(explicit: bool | None = None) -> bool:
-    """Resolve whether batch (superblock) replay should be used.
-
-    Precedence: explicit argument, then :func:`set_batch_enabled`
-    process default, then :data:`BATCH_ENV`, then on.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if _DEFAULT_ENABLED is not None:
-        return _DEFAULT_ENABLED
-    raw = os.environ.get(BATCH_ENV)
-    if raw is not None:
-        word = raw.strip().lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        warnings.warn(
-            f"ignoring unrecognized {BATCH_ENV}={raw!r}", stacklevel=2
-        )
-    return True
-
 
 # -- trace segmentation --------------------------------------------------------
 
@@ -1107,7 +1067,9 @@ class BatchReplay:
     whole trace, or one memo chunk — feeding aligned full repetitions of
     each overlapping run to its compiled superblock and everything else
     (gaps, misaligned edges where a memo chunk boundary bisects a run,
-    uncompilable sequences) to the per-event kernel table.
+    uncompilable sequences) to the per-event kernel table.  With an
+    empty plan it is plain per-event kernel replay: :meth:`_span` is the
+    only kernel-table loop over trace columns.
     """
 
     __slots__ = ("kernel", "trace", "plan", "starts", "_eligible",
@@ -1212,22 +1174,24 @@ class BatchReplay:
 
 
 def batch_replay_for(runner, trace):
-    """Resolve the batch executor for a runner/trace pairing, or None.
+    """Resolve the range executor replaying *trace* onto *runner*, or None.
 
-    None when batch replay is disabled, the runner has no direct kernel
-    table (instrumented machine, superinstruction strategy), or the
-    trace has no periodic runs worth compiling — callers then stay on
-    the per-event path.
+    Every runner with a direct kernel table gets a :class:`BatchReplay`:
+    over :func:`trace_plan` when batch replay is on, over an empty plan
+    (pure per-event kernel replay) when ``use_batch=False`` or the trace
+    has no periodic runs worth compiling.  None means the runner has no
+    direct kernel table (``use_kernel=False``, an instrumented machine,
+    the superinstruction strategy) and the caller's interpreted
+    ``on_event`` loop is the rung.
     """
     kernel = getattr(runner, "kernel", None)
-    if kernel is None or not kernel.direct or not kernel.batch_enabled:
+    if kernel is None or not kernel.direct:
         return None
     cached = kernel.batch
     if cached is not None and cached.trace is trace:
         return cached
-    plan = trace_plan(trace)
-    if not plan:
-        return None
-    replay = BatchReplay(kernel, trace, plan)
+    replay = BatchReplay(
+        kernel, trace, trace_plan(trace) if kernel.use_batch else ()
+    )
     kernel.batch = replay
     return replay

@@ -24,9 +24,9 @@ Exactness is by construction: every emitted line is a constant-folded
 projection of the same template ``exec_block`` is generated from, and
 every elision (page checks, count deferral, cycle merging) is a
 reordering of commutative increments that nothing reads mid-kernel.  The
-``--no-kernel`` / ``SCD_REPRO_KERNEL=0`` opt-out preserves the
-interpreted path bit-for-bit, and the differential oracle
-(:mod:`repro.verify`) fuzzes kernel-vs-interpreted identity.
+``use_kernel=False`` reference keyword keeps the interpreted path
+bit-for-bit, and the differential oracle (:mod:`repro.verify`) fuzzes
+kernel-vs-interpreted identity.
 
 Kernels bind only to machines whose type is exactly
 :class:`~repro.uarch.pipeline.Machine`: subclasses (the verifier's
@@ -37,8 +37,6 @@ so they transparently keep the interpreted path.
 from __future__ import annotations
 
 import functools
-import os
-import warnings
 
 from repro import obs
 from repro.native.model import (
@@ -60,48 +58,6 @@ from repro.uarch.pipeline import (
     kernel_load_op_lines,
     kernel_predictor_sig,
 )
-
-#: Environment opt-out honoured when neither the call site nor the process
-#: default decides (mirrors ``SCD_REPRO_TRACE`` resolution).
-KERNEL_ENV = "SCD_REPRO_KERNEL"
-
-_TRUE_WORDS = frozenset({"1", "true", "on", "yes"})
-_FALSE_WORDS = frozenset({"0", "false", "off", "no"})
-
-_DEFAULT_ENABLED: bool | None = None
-
-
-def set_kernel_enabled(enabled: bool | None) -> None:
-    """Set the process-wide kernel default (the CLI's ``--no-kernel``).
-
-    ``None`` restores deferral to the environment variable.
-    """
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = enabled
-
-
-def kernel_enabled(explicit: bool | None = None) -> bool:
-    """Resolve whether replay kernels should be used.
-
-    Precedence: explicit argument, then :func:`set_kernel_enabled`
-    process default, then :data:`KERNEL_ENV`, then on.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if _DEFAULT_ENABLED is not None:
-        return _DEFAULT_ENABLED
-    raw = os.environ.get(KERNEL_ENV)
-    if raw is not None:
-        word = raw.strip().lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        warnings.warn(
-            f"ignoring unrecognized {KERNEL_ENV}={raw!r}", stacklevel=2
-        )
-    return True
-
 
 # -- code generation -----------------------------------------------------------
 
@@ -636,7 +592,7 @@ class BoundKernel:
         "compiled",
         "kernel_events",
         "fallback_events",
-        "batch_enabled",
+        "use_batch",
         "batch_events",
         "superblocks",
         "batch",
@@ -644,7 +600,7 @@ class BoundKernel:
         "_regs",
     )
 
-    def __init__(self, runner, use_batch: bool | None = None):
+    def __init__(self, runner, use_batch: bool = True):
         self.runner = runner
         self.machine = runner.machine
         self.model = runner.model
@@ -655,22 +611,17 @@ class BoundKernel:
         self.table = _LazyTable(self._build)
         self.fused_table = _LazyTable(self._build_fused)
         #: True when events feed ``table`` directly (no fusion buffer);
-        #: the replay loops use this to skip even the entry call.
+        #: only then can trace replay index ``table`` from the columns.
         self.direct = not runner._is_superinst
         self.entry = self._on_event if self.direct else self._on_event_buffered
-        # Batch (superblock) replay rides on the direct kernel table: the
-        # fusion-buffered strategies reorder events through the pending
-        # slot, which the columnar executor cannot replicate.
+        # Batch (superblock) replay rides on the direct kernel table; see
+        # :func:`repro.native.batch.batch_replay_for`, the one place that
+        # picks the replay rung.
+        self.use_batch = use_batch
         self.batch_events = 0
         self.superblocks = 0
         self.batch = None
         self.sb_table = None
-        if self.direct:
-            from repro.native.batch import batch_enabled
-
-            self.batch_enabled = batch_enabled(use_batch)
-        else:
-            self.batch_enabled = False
 
     # -- event entry points ----------------------------------------------------
 

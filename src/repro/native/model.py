@@ -486,17 +486,18 @@ class ModelRunner:
         context_switch_policy: ``"flush"`` (the paper's preferred policy,
             re-populate through the slow path) or ``"save"`` (the OS saves
             and restores JTEs, paying per-entry overhead instead).
-        use_kernel: force the exec-compiled replay kernels on/off; ``None``
-            resolves through :func:`repro.native.kernel.kernel_enabled`
-            (CLI default, then ``SCD_REPRO_KERNEL``, then on).  Kernels
-            only ever bind to machines of exact type :class:`Machine` —
+        use_kernel: bind the exec-compiled replay kernels (default).
+            False selects the interpreted reference path.  Kernels only
+            ever bind to machines of exact type :class:`Machine` —
             subclasses (the verifier's ``CheckedMachine``) keep the
             interpreted path so their instrumentation is never inlined
             past.
-        use_batch: force chunk-compiled batch (superblock) replay on/off
-            on top of the kernels; ``None`` resolves through
-            :func:`repro.native.batch.batch_enabled` (CLI default, then
-            ``SCD_REPRO_BATCH``, then on).  Moot when kernels are off.
+        use_batch: let trace replay run chunk-compiled superblocks on
+            top of the kernels (default).  False selects the per-event
+            kernel reference path; moot when kernels are off.  Both
+            keywords exist for the differential verifier's ``PATHS``, the
+            identity tests and the benchmark's plain-path check; results
+            are byte-identical on every setting.
     """
 
     def __init__(
@@ -505,8 +506,8 @@ class ModelRunner:
         machine: Machine,
         context_switch_interval: int | None = None,
         context_switch_policy: str = "flush",
-        use_kernel: bool | None = None,
-        use_batch: bool | None = None,
+        use_kernel: bool = True,
+        use_batch: bool = True,
     ):
         if context_switch_policy not in ("flush", "save"):
             raise ValueError(
@@ -531,12 +532,11 @@ class ModelRunner:
             self._on_event_buffered if self._is_superinst else self._replay
         )
         self.kernel = None
-        if type(machine) is Machine:
-            from repro.native.kernel import BoundKernel, kernel_enabled
+        if use_kernel and type(machine) is Machine:
+            from repro.native.kernel import BoundKernel
 
-            if kernel_enabled(use_kernel):
-                self.kernel = BoundKernel(self, use_batch=use_batch)
-                self.on_event = self.kernel.entry
+            self.kernel = BoundKernel(self, use_batch=use_batch)
+            self.on_event = self.kernel.entry
 
     @property
     def events(self) -> int:

@@ -17,11 +17,13 @@ bytes; any torn, truncated or version-mismatched file raises
 :class:`TraceFormatError`, which :class:`repro.harness.cache.TraceStore`
 reads back as a cache miss (the same contract as v3 result entries).
 
-Replay drives :class:`repro.native.model.ModelRunner.on_event` straight
-from the columns (:func:`replay_events`), optionally through the
-steady-state timing memo (:func:`replay_events_memo`, see
+Replay drives a :class:`repro.native.model.ModelRunner` straight from
+the columns (:func:`replay_events`), optionally through the steady-state
+timing memo (:func:`replay_events_memo`, see
 :class:`repro.uarch.pipeline.SteadyStateMemo`) which skips re-simulating
-event chunks whose machine state has reached a fixed point.
+event chunks whose machine state has reached a fixed point.  Which rung
+of the interpreted → kernel → batch ladder replays a range is decided by
+:func:`repro.native.batch.batch_replay_for` alone.
 """
 
 from __future__ import annotations
@@ -499,54 +501,13 @@ def _replay_pools(trace: RecordedTrace) -> tuple:
 def replay_events(trace: RecordedTrace, on_event, runner=None) -> int:
     """Drive every recorded event through *on_event*.  Returns the count.
 
-    When *runner* carries a direct-dispatch replay kernel (see
-    :class:`repro.native.kernel.BoundKernel`), events index its kernel
-    table straight from the columns — same semantics as *on_event*,
-    minus one call per event.  When batch replay is enabled on top, the
-    steady-state regions of the trace run through chunk-compiled
-    superblocks instead (see :mod:`repro.native.batch`).
+    When *runner* is given, :func:`repro.native.batch.batch_replay_for`
+    picks the replay rung: a runner with a direct kernel table replays
+    through compiled kernels (and superblocks, unless ``use_batch=False``)
+    with the same semantics as *on_event*; any other runner, or none,
+    takes the interpreted *on_event* loop.
     """
-    kernel = getattr(runner, "kernel", None)
-    if kernel is not None and kernel.direct and kernel.batch_enabled:
-        from repro.native.batch import batch_replay_for
-
-        batch = batch_replay_for(runner, trace)
-        if batch is not None:
-            batch.run_range(0, trace.n_events)
-            return trace.n_events
-    daddr_pool, builtin_pool, cost_pool = _replay_pools(trace)
-    columns = trace.columns
-    stream = zip(
-        columns["ops"],
-        columns["sites"],
-        columns["takens"],
-        columns["callees"],
-        columns["daddr_ids"],
-        columns["builtin_ids"],
-        columns["cost_ids"],
-    )
-    if kernel is not None and kernel.direct:
-        table = kernel.table
-        for op, site, taken, callee, daddr_id, builtin_id, cost_id in stream:
-            table[op, site](
-                taken,
-                callee,
-                daddr_pool[daddr_id],
-                builtin_pool[builtin_id],
-                cost_pool[cost_id],
-            )
-        return trace.n_events
-    for op, site, taken, callee, daddr_id, builtin_id, cost_id in stream:
-        on_event(
-            op,
-            site,
-            taken,
-            callee,
-            daddr_pool[daddr_id],
-            builtin_pool[builtin_id],
-            cost_pool[cost_id],
-        )
-    return trace.n_events
+    return _drive(trace, on_event, runner, None, MEMO_CHUNK_EVENTS)
 
 
 def replay_events_memo(
@@ -560,12 +521,54 @@ def replay_events_memo(
     Chunks whose content key and full machine/runner begin state match a
     memoized transition are applied as a batched counter delta plus an
     end-state install instead of being re-simulated (see
-    :class:`repro.uarch.pipeline.SteadyStateMemo`); every other chunk runs
-    event by event and is offered to the memo.  Returns the event count.
+    :class:`repro.uarch.pipeline.SteadyStateMemo`); every other chunk is
+    replayed on the rung :func:`replay_events` would pick and offered to
+    the memo.  Returns the event count.
     """
+    return _drive(trace, runner.on_event, runner, memo, chunk_events)
+
+
+def _drive(trace, on_event, runner, memo, chunk_events) -> int:
+    """The one replay driver behind :func:`replay_events` and
+    :func:`replay_events_memo`.
+
+    Without a memo the whole trace is one ``[0, n)`` range; with one,
+    each *chunk_events* chunk is a range the memo may skip.
+    """
+    # Resolved through the module at call time, never bound at import:
+    # the rung choice lives in repro.native, and tracing wrappers
+    # installed on the module must see every call.
+    from repro.native import batch
+
     n_events = trace.n_events
-    if n_events == 0:
-        return 0
+    executor = batch.batch_replay_for(runner, trace)
+    run_range = (
+        executor.run_range if executor is not None
+        else _interpreted_range(trace, on_event)
+    )
+    if memo is None:
+        chunks = ((0, n_events, None),)
+    else:
+        chunks = (
+            (start, min(n_events, start + chunk_events), key)
+            for start, key in zip(
+                range(0, n_events, chunk_events),
+                trace.chunk_keys(chunk_events),
+            )
+        )
+    for start, stop, key in chunks:
+        if memo is not None:
+            if memo.try_apply(key, stop - start):
+                continue
+            memo.begin()
+        run_range(start, stop)
+        if memo is not None:
+            memo.commit(key)
+    return n_events
+
+
+def _interpreted_range(trace: RecordedTrace, on_event):
+    """Range executor feeding each event of a range to *on_event*."""
     daddr_pool, builtin_pool, cost_pool = _replay_pools(trace)
     columns = trace.columns
     ops = columns["ops"]
@@ -575,41 +578,17 @@ def replay_events_memo(
     daddr_ids = columns["daddr_ids"]
     builtin_ids = columns["builtin_ids"]
     cost_ids = columns["cost_ids"]
-    on_event = runner.on_event
-    kernel = getattr(runner, "kernel", None)
-    table = kernel.table if kernel is not None and kernel.direct else None
-    batch = None
-    if table is not None and kernel.batch_enabled:
-        from repro.native.batch import batch_replay_for
 
-        batch = batch_replay_for(runner, trace)
-    for chunk, key in enumerate(trace.chunk_keys(chunk_events)):
-        start = chunk * chunk_events
-        stop = min(n_events, start + chunk_events)
-        if memo.try_apply(key, stop - start):
-            continue
-        memo.begin()
-        if batch is not None:
-            batch.run_range(start, stop)
-        elif table is not None:
-            for index in range(start, stop):
-                table[ops[index], sites[index]](
-                    takens[index],
-                    callees[index],
-                    daddr_pool[daddr_ids[index]],
-                    builtin_pool[builtin_ids[index]],
-                    cost_pool[cost_ids[index]],
-                )
-        else:
-            for index in range(start, stop):
-                on_event(
-                    ops[index],
-                    sites[index],
-                    takens[index],
-                    callees[index],
-                    daddr_pool[daddr_ids[index]],
-                    builtin_pool[builtin_ids[index]],
-                    cost_pool[cost_ids[index]],
-                )
-        memo.commit(key)
-    return n_events
+    def run_range(start: int, stop: int) -> None:
+        for index in range(start, stop):
+            on_event(
+                ops[index],
+                sites[index],
+                takens[index],
+                callees[index],
+                daddr_pool[daddr_ids[index]],
+                builtin_pool[builtin_ids[index]],
+                cost_pool[cost_ids[index]],
+            )
+
+    return run_range

@@ -10,22 +10,24 @@ per-event ladder — and that segment boundaries landing on context
 switches or memo chunk edges never change a counter.
 """
 
-import os
 from array import array
 
 import pytest
 
-from repro.core.simulation import SCHEMES, simulate
+from repro.core.simulation import SCHEMES, scheme_parts, simulate
 from repro.harness import faults
 from repro.harness.cache import MemoStore, TraceStore
-from repro.native.batch import (
-    MIN_REPS,
-    MIN_RUN_EVENTS,
-    batch_enabled,
-    find_periodic_runs,
-    set_batch_enabled,
+from repro.native.batch import MIN_REPS, MIN_RUN_EVENTS, find_periodic_runs
+from repro.native.model import ModelRunner, get_model
+from repro.uarch.config import cortex_a5
+from repro.uarch.pipeline import Machine
+from repro.vm.capture import (
+    MEMO_CHUNK_EVENTS,
+    TraceRecorder,
+    replay_events,
+    replay_events_memo,
 )
-from repro.vm.capture import MEMO_CHUNK_EVENTS
+from repro.vm.lua import LuaVM
 
 ALL_SCHEMES = SCHEMES + ("ttc", "cascaded", "ittage", "superinst")
 
@@ -43,14 +45,6 @@ CALL_SRC = (
 #: No loops at all: every kernel-key sequence occurs once, so the
 #: segmenter must find nothing to compile.
 STRAIGHT_SRC = 'var a = 1;\nvar b = a + 2;\nprint("sum " .. (a + b));\n'
-
-
-@pytest.fixture(autouse=True)
-def _reset_batch_mode():
-    set_batch_enabled(None)
-    yield
-    set_batch_enabled(None)
-    os.environ.pop("SCD_REPRO_BATCH", None)
 
 
 def _sig(result):
@@ -123,6 +117,61 @@ class TestBatchIdentity:
         assert meta["kernel_events"] > 0
 
 
+class _NeverApplies:
+    """Memo stand-in that never skips: every chunk replays as one range."""
+
+    def try_apply(self, key, n_events):
+        return False
+
+    def begin(self):
+        pass
+
+    def commit(self, key):
+        pass
+
+
+def _assert_single_range_equals_chunks():
+    recorder = TraceRecorder()
+    guest = LuaVM.from_source(LOOP_SRC)
+    trace = recorder.seal(guest.run(trace=recorder.hook), guest.steps)
+    strategy, indirect = scheme_parts("scd")
+    config = cortex_a5().with_changes(indirect_scheme=indirect)
+
+    def run(use_kernel, use_batch, replay):
+        machine = Machine(config)
+        runner = ModelRunner(get_model("lua", strategy), machine,
+                             use_kernel=use_kernel, use_batch=use_batch)
+        runner.start()
+        replay(runner)
+        runner.finish()
+        kernel = runner.kernel
+        rung = (
+            "interpreted" if kernel is None
+            else "batch" if kernel.batch_events > MEMO_CHUNK_EVENTS
+            else "kernel" if kernel.kernel_events and not kernel.batch_events
+            else None
+        )
+        return rung, machine.finalize().snapshot()
+
+    def single(runner):
+        replay_events(trace, runner.on_event, runner=runner)
+
+    def chunked(runner):
+        replay_events_memo(trace, runner, _NeverApplies())
+
+    snapshots = []
+    for use_kernel, use_batch, rung in (
+        (False, False, "interpreted"),
+        (True, False, "kernel"),
+        (True, True, "batch"),
+    ):
+        whole = run(use_kernel, use_batch, single)
+        split = run(use_kernel, use_batch, chunked)
+        assert whole == split == (rung, whole[1])
+        snapshots.append(whole[1])
+    assert snapshots[0] == snapshots[1] == snapshots[2]
+
+
 class TestSuperblockBoundaries:
     def test_context_switch_straddles_segment(self, tmp_path):
         """A context-switch interval coprime to the loop period lands
@@ -140,11 +189,17 @@ class TestSuperblockBoundaries:
         ]
         assert _sig(results[0]) == _sig(results[1])
 
-    @pytest.mark.parametrize("memo", (True, False))
+    @pytest.mark.parametrize("memo", (True, False, "split"))
     def test_memo_chunk_boundary_bisects_superblock(self, tmp_path, memo):
         """LOOP_SRC's steady run spans many MEMO_CHUNK_EVENTS edges, so
         chunk boundaries bisect superblocks; memo bookkeeping (chunk
-        digests, skip decisions) must not drift from the batch-off run."""
+        digests, skip decisions) must not drift from the batch-off run.
+
+        ``"split"``: on every rung of the ladder, one replay covering the
+        whole trace equals the same replay cut into memo-chunk ranges."""
+        if memo == "split":
+            _assert_single_range_equals_chunks()
+            return
         _replay(tmp_path, LOOP_SRC, scheme="baseline", record=True)
         meta: dict = {}
         batch_on = _replay(tmp_path, LOOP_SRC, replay_memo=memo,
@@ -243,25 +298,6 @@ class TestFindPeriodicRuns:
         assert find_periodic_runs(ops, sites, len(ops)) == []
 
 
-class TestBatchMode:
-    def test_explicit_overrides_all(self):
-        os.environ["SCD_REPRO_BATCH"] = "1"
-        set_batch_enabled(True)
-        assert batch_enabled(False) is False
-
-    def test_cli_default_overrides_env(self):
-        os.environ["SCD_REPRO_BATCH"] = "1"
-        set_batch_enabled(False)
-        assert batch_enabled(None) is False
-
-    def test_env_opt_out(self):
-        os.environ["SCD_REPRO_BATCH"] = "0"
-        assert batch_enabled(None) is False
-
-    def test_default_on(self):
-        assert batch_enabled(None) is True
-
-
 class TestBatchUnderFaults:
     @pytest.fixture(autouse=True)
     def _isolate_fault_state(self, monkeypatch):
@@ -274,9 +310,10 @@ class TestBatchUnderFaults:
     def test_env_opt_out_identity_under_corrupt_shard(
         self, tmp_path, monkeypatch
     ):
-        """SCD_REPRO_BATCH=0 with corrupt-shard injection: the corrupted
-        trace shard quarantines, the sweep re-records, and the batch-off
-        results match a clean batch-on run byte for byte."""
+        """Batch off (``use_batch`` in the job kwargs) with corrupt-shard
+        injection: the corrupted trace shard quarantines, the sweep
+        re-records, and the batch-off results match a clean batch-on run
+        byte for byte."""
         from repro.harness.cache import ResultCache
         from repro.harness.parallel import run_jobs, SimJob
 
@@ -291,19 +328,24 @@ class TestBatchUnderFaults:
             grid, workers=1, cache=ResultCache("batch-on", root=tmp_path / "a")
         )
 
-        monkeypatch.setenv("SCD_REPRO_BATCH", "0")
+        batch_off = tuple(
+            SimJob(job.workload, job.vm, job.scheme,
+                   kwargs=job.kwargs + (("use_batch", False),))
+            for job in grid
+        )
         monkeypatch.setenv("SCD_FAULT", "corrupt-shard:0")
         monkeypatch.setenv("SCD_FAULT_DIR", str(tmp_path / "fault-state"))
         faults.reset_plan_cache()
         faulted = run_jobs(
-            grid, workers=1, cache=ResultCache("batch-off", root=tmp_path / "b")
+            batch_off, workers=1,
+            cache=ResultCache("batch-off", root=tmp_path / "b"),
         )
         monkeypatch.delenv("SCD_FAULT")
         faults.reset_plan_cache()
         # Same root, fresh cache name: replays through the surviving +
         # re-recorded traces, still with batch disabled.
         replayed = run_jobs(
-            grid, workers=1,
+            batch_off, workers=1,
             cache=ResultCache("batch-off2", root=tmp_path / "b"),
         )
 

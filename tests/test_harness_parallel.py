@@ -272,3 +272,119 @@ class TestConcurrentCache:
         payload = json.loads(tmp_cache.entry_path("k").read_text())
         assert payload["key"] == "k"
         assert payload["result"]["workload"] == "fibo"
+
+
+class TestTimeoutAndRetryResolvers:
+    """Non-finite timeouts and negative retry budgets never reach the pool."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        from repro.harness.parallel import set_default_job_timeout
+
+        monkeypatch.delenv("SCD_REPRO_JOB_TIMEOUT", raising=False)
+        monkeypatch.delenv("SCD_REPRO_RETRIES", raising=False)
+        set_default_job_timeout(None)
+        yield
+        set_default_job_timeout(None)
+
+    @pytest.mark.parametrize("raw", ("inf", "-inf", "nan"))
+    def test_nonfinite_env_timeout_warns_and_is_ignored(self, monkeypatch, raw):
+        from repro.harness.parallel import resolve_job_timeout
+
+        monkeypatch.setenv("SCD_REPRO_JOB_TIMEOUT", raw)
+        with pytest.warns(RuntimeWarning, match=f"SCD_REPRO_JOB_TIMEOUT='{raw}'"):
+            assert resolve_job_timeout() is None
+
+    @pytest.mark.parametrize("value", (float("inf"), float("nan")))
+    def test_nonfinite_explicit_timeout_rejected(self, tmp_cache, value):
+        from repro.harness.parallel import (
+            resolve_job_timeout,
+            set_default_job_timeout,
+        )
+
+        with pytest.raises(ValueError, match="finite"):
+            resolve_job_timeout(value)
+        # Rejected before any pool starts (inf used to overflow inside
+        # concurrent.futures.wait; nan polled wait(timeout=0) forever).
+        with pytest.raises(ValueError, match="finite"):
+            run_jobs(SMALL[:2], workers=2, cache=tmp_cache, job_timeout=value)
+        set_default_job_timeout(value)
+        with pytest.raises(ValueError, match="finite"):
+            resolve_job_timeout()
+
+    @pytest.mark.parametrize("raw", ("inf", "nan"))
+    def test_nonfinite_cli_timeout_is_usage_error(self, capsys, raw):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--job-timeout", raw, "list"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_negative_env_retries_warns_and_is_ignored(self, monkeypatch):
+        from repro.harness.parallel import DEFAULT_RETRIES, resolve_retries
+
+        monkeypatch.setenv("SCD_REPRO_RETRIES", "-3")
+        with pytest.warns(RuntimeWarning, match="SCD_REPRO_RETRIES='-3'"):
+            assert resolve_retries() == DEFAULT_RETRIES
+
+
+#: Runs a 2-job sweep on a 2-worker pool under the spawn start method,
+#: once with the interpreted reference path requested per job and once on
+#: the default path, and prints what the parent needs to compare.
+_SPAWN_SCRIPT = """
+import json, multiprocessing, os, sys
+
+from repro.harness.cache import ResultCache
+from repro.harness.parallel import SimJob, ThroughputMetrics, run_jobs
+
+
+def main(root):
+    multiprocessing.set_start_method("spawn")
+    os.cpu_count = lambda: 2  # a real 2-worker pool even on a 1-CPU host
+
+    def grid(kwargs):
+        return [SimJob("fibo", "lua", scheme, kwargs=kwargs)
+                for scheme in ("baseline", "scd")]
+
+    off = ThroughputMetrics()
+    plain = run_jobs(grid((("use_kernel", False),)), workers=2,
+                     cache=ResultCache("plain", root=os.path.join(root, "a")),
+                     metrics=off)
+    default = run_jobs(grid(()), workers=2,
+                       cache=ResultCache("default", root=os.path.join(root, "b")),
+                       metrics=ThroughputMetrics())
+    print(json.dumps({
+        "start_method": multiprocessing.get_start_method(),
+        "sims": off.sims,
+        "kernel_events": off.kernel_events,
+        "plain": [r.to_dict() for r in plain],
+        "default": [r.to_dict() for r in default],
+    }))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])
+"""
+
+
+def test_use_kernel_kwarg_reaches_spawned_workers(tmp_path):
+    """The rung selector rides in SimJob.kwargs, so it reaches pool
+    workers under spawn too (a process-wide default only survived fork)."""
+    import os
+    import subprocess
+    import sys
+
+    script = tmp_path / "spawn_sweep.py"
+    script.write_text(_SPAWN_SCRIPT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True, timeout=600,
+    )
+    report = json.loads(proc.stdout)
+    assert report["start_method"] == "spawn"
+    assert report["sims"] == 2
+    assert report["kernel_events"] == 0
+    assert report["plain"] == report["default"]

@@ -18,7 +18,6 @@ import pytest
 from repro.core.simulation import SCHEMES, simulate
 from repro.harness.cache import MemoStore, TraceStore, memo_key
 from repro.native import kernel as kernel_mod
-from repro.native.kernel import kernel_enabled, set_kernel_enabled
 from repro.native.model import ModelRunner, get_model
 from repro.uarch.config import cortex_a5
 from repro.uarch.pipeline import MEMO_FORMAT_VERSION, Machine
@@ -36,14 +35,6 @@ CALL_SRC = (
     'fn f(n) { if (n < 2) { return n; } return f(n - 1) + f(n - 2); }\n'
     'print("fib " .. f(12));\n'
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_kernel_mode():
-    set_kernel_enabled(None)
-    yield
-    set_kernel_enabled(None)
-    os.environ.pop("SCD_REPRO_KERNEL", None)
 
 
 def _sig(result):
@@ -120,25 +111,6 @@ class TestKernelIdentity:
         assert runner.kernel is None
         runner = ModelRunner(model, Machine(cortex_a5()), use_kernel=True)
         assert runner.kernel is not None
-
-
-class TestKernelMode:
-    def test_explicit_overrides_all(self):
-        os.environ["SCD_REPRO_KERNEL"] = "1"
-        set_kernel_enabled(True)
-        assert kernel_enabled(False) is False
-
-    def test_cli_default_overrides_env(self):
-        os.environ["SCD_REPRO_KERNEL"] = "1"
-        set_kernel_enabled(False)
-        assert kernel_enabled(None) is False
-
-    def test_env_opt_out(self):
-        os.environ["SCD_REPRO_KERNEL"] = "0"
-        assert kernel_enabled(None) is False
-
-    def test_default_on(self):
-        assert kernel_enabled(None) is True
 
 
 class TestMemoPersistence:
