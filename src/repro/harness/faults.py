@@ -49,9 +49,11 @@ FAULT_KINDS = ("kill-worker", "fail-job", "delay-job", "corrupt-shard")
 #: Exit status of an injected worker kill (visible in pool diagnostics).
 KILL_EXIT_CODE = 27
 
-#: Bytes stamped over a corrupted shard: invalid JSON *and* invalid
-#: trace magic, so either store sees a corrupt entry, not a miss.
-CORRUPTION_STAMP = b"\x00scd-fault-injected-corruption\x00"
+#: Bytes stamped over a corrupted shard: invalid UTF-8 (``\xff``), so a
+#: result shard fails at the text decode as well as the JSON parse, and
+#: invalid trace and memo magic, so every store sees a corrupt entry, not
+#: a miss.
+CORRUPTION_STAMP = b"\xff\x00scd-fault-injected-corruption\x00"
 
 
 class InjectedFault(RuntimeError):

@@ -477,64 +477,73 @@ def execute_job(
     flag.  Records into *metrics* — callers that need per-request
     isolation (the sweep service runs many concurrent clients through
     one process) pass their own :class:`ThroughputMetrics`; the default
-    is the process-wide :data:`METRICS` the CLI footer prints.  When a
-    trace log is live (see :mod:`repro.obs`) each call emits a ``job``
-    span with the grid key, cache outcome and per-component uarch
-    counters attached.
+    is the process-wide :data:`METRICS` the CLI footer prints.  Shards
+    the job's stores quarantine, whether or not the job then fails, are
+    added to ``metrics.quarantined``.  When a trace log is live (see
+    :mod:`repro.obs`) each call emits a ``job`` span with the grid key,
+    cache outcome and per-component uarch counters attached.
     """
     if metrics is None:
         metrics = METRICS
-    with obs.span(
-        "job", vm=job.vm, scheme=job.scheme, workload=job.workload,
-        scale=job.scale,
-    ) as job_span:
-        key = job.cache_key()
-        if cache is not None:
-            with obs.span("cache", store="results") as probe:
-                hit = cache.get(key)
-                probe.annotate(hit=hit is not None)
-            if hit is not None:
-                metrics.record_hit()
-                job_span.annotate(cached=True)
-                return hit, {"cached": True}
-        fault_plan = get_fault_plan()
-        if fault_plan is not None:
-            fault_plan.on_job_start(job)
-        if trace_store is None and cache is not None:
+    if cache is not None:
+        if trace_store is None:
             trace_store = TraceStore(root=cache.root)
-        if memo_store is None and cache is not None:
+        if memo_store is None:
             memo_store = MemoStore(root=cache.root)
-        meta: dict = {}
-        result = simulate(
-            job.workload,
-            vm=job.vm,
-            scheme=job.scheme,
-            config=job.resolved_config(),
+    stores = [s for s in (cache, trace_store, memo_store) if s is not None]
+    quarantined = sum(store.quarantined for store in stores)
+    try:
+        with obs.span(
+            "job", vm=job.vm, scheme=job.scheme, workload=job.workload,
             scale=job.scale,
-            metrics=meta,
-            trace_store=trace_store,
-            trace_mode=trace_mode,
-            memo_store=memo_store,
-            **dict(job.kwargs),
+        ) as job_span:
+            key = job.cache_key()
+            if cache is not None:
+                with obs.span("cache", store="results") as probe:
+                    hit = cache.get(key)
+                    probe.annotate(hit=hit is not None)
+                if hit is not None:
+                    metrics.record_hit()
+                    job_span.annotate(cached=True)
+                    return hit, {"cached": True}
+            fault_plan = get_fault_plan()
+            if fault_plan is not None:
+                fault_plan.on_job_start(job)
+            meta: dict = {}
+            result = simulate(
+                job.workload,
+                vm=job.vm,
+                scheme=job.scheme,
+                config=job.resolved_config(),
+                scale=job.scale,
+                metrics=meta,
+                trace_store=trace_store,
+                trace_mode=trace_mode,
+                memo_store=memo_store,
+                **dict(job.kwargs),
+            )
+            if cache is not None:
+                with obs.span("cache", store="results", op="put"):
+                    cache.put(key, result)
+            metrics.record_sim(meta)
+            meta["cached"] = False
+            job_span.annotate(
+                cached=False,
+                events=meta.get("events", 0),
+                wall_s=round(meta.get("wall_s", 0.0), 6),
+                replayed=bool(meta.get("replayed")),
+                kernel_events=meta.get("kernel_events", 0),
+                fallback_events=meta.get("fallback_events", 0),
+                batch_events=meta.get("batch_events", 0),
+                superblocks=meta.get("superblocks", 0),
+                memo_loaded=meta.get("memo_loaded", 0),
+                uarch=meta.get("uarch", {}),
+            )
+            return result, meta
+    finally:
+        metrics.quarantined += (
+            sum(store.quarantined for store in stores) - quarantined
         )
-        if cache is not None:
-            with obs.span("cache", store="results", op="put"):
-                cache.put(key, result)
-        metrics.record_sim(meta)
-        meta["cached"] = False
-        job_span.annotate(
-            cached=False,
-            events=meta.get("events", 0),
-            wall_s=round(meta.get("wall_s", 0.0), 6),
-            replayed=bool(meta.get("replayed")),
-            kernel_events=meta.get("kernel_events", 0),
-            fallback_events=meta.get("fallback_events", 0),
-            batch_events=meta.get("batch_events", 0),
-            superblocks=meta.get("superblocks", 0),
-            memo_loaded=meta.get("memo_loaded", 0),
-            uarch=meta.get("uarch", {}),
-        )
-        return result, meta
 
 
 def _pool_run(
@@ -553,12 +562,14 @@ def _pool_run(
     parent's log holds the whole merged tree."""
     try:
         obs.adopt_worker(trace_parent)
-        quarantined_before = METRICS.quarantined
         cache = None
         if cache_name is not None:
             cache = ResultCache(cache_name, root=cache_root)
-        result, meta = execute_job(job, cache, trace_mode=trace_mode)
-        meta["quarantined"] = METRICS.quarantined - quarantined_before
+        metrics = ThroughputMetrics()
+        result, meta = execute_job(
+            job, cache, trace_mode=trace_mode, metrics=metrics
+        )
+        meta["quarantined"] = metrics.quarantined
         return ("ok", result, meta)
     except BaseException:
         return ("error", traceback.format_exc(), {})
@@ -603,38 +614,38 @@ def _shutdown_pool(pool, futures, kill: bool = False) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_serial(
-    misses, cache, trace_mode, retries, resolved, metrics, on_result=None
-) -> list:
-    """In-process execution of *misses* with bounded per-job retries.
+def _run_in_process(
+    pending, cache, trace_mode, retries, resolved, last_failure, metrics,
+    on_result=None, attempts=None,
+) -> None:
+    """In-process execution of *pending* with bounded per-job retries.
 
-    Returns the ``(job, detail)`` pairs that exhausted their budget;
-    callers decide whether that is fatal (:func:`run_jobs`) or merely
-    per-file accounting (:func:`run_jobs_partial`).
+    Each job starts with the ``attempts[key]`` failed attempts it has
+    already spent — none on the serial path, the pool's count when the
+    pool degrades.  The last traceback of every failed attempt lands in
+    *last_failure*.
     """
     trace_store = TraceStore(root=cache.root) if cache is not None else None
-    failures = []
-    for key, job in misses:
-        detail = ""
-        for attempt in range(retries + 1):
-            if attempt:
-                metrics.retries += 1
-                time.sleep(_retry_backoff_s(attempt))
+    for key, job in pending:
+        attempt = attempts[key] if attempts is not None else 0
+        while True:
             try:
                 result, meta = execute_job(
                     job, cache, trace_store=trace_store,
                     trace_mode=trace_mode, metrics=metrics,
                 )
             except Exception:
-                detail = traceback.format_exc()
+                last_failure[key] = (job, traceback.format_exc())
+                attempt += 1
+                if attempt > retries:
+                    break
+                metrics.retries += 1
+                time.sleep(_retry_backoff_s(attempt))
                 continue
             resolved[key] = result
             if on_result is not None:
                 on_result(key, result, meta)
             break
-        else:
-            failures.append((job, detail))
-    return failures
 
 
 def _consume_future(
@@ -752,47 +763,16 @@ def _pool_round(
     return failed, state["broke"] or kill_pool
 
 
-def _run_degraded(
-    pending, cache, trace_mode, retries, attempts, last_failure, resolved,
-    metrics, on_result=None,
-) -> None:
-    """In-process fallback after repeated pool breakage, honouring each
-    job's remaining retry budget."""
-    trace_store = TraceStore(root=cache.root) if cache is not None else None
-    for key, job in pending:
-        while True:
-            try:
-                result, meta = execute_job(
-                    job, cache, trace_store=trace_store,
-                    trace_mode=trace_mode, metrics=metrics,
-                )
-            except Exception:
-                last_failure[key] = (job, traceback.format_exc())
-                attempts[key] += 1
-                if attempts[key] > retries:
-                    break
-                metrics.retries += 1
-                time.sleep(_retry_backoff_s(attempts[key]))
-                continue
-            resolved[key] = result
-            if on_result is not None:
-                on_result(key, result, meta)
-            break
-
-
 def _run_pool(
     misses, workers, cache, trace_mode, retries, job_timeout, resolved,
-    metrics, on_result=None,
-) -> list:
-    """Pooled execution of *misses* with retry rounds and salvage.
-
-    Returns the exhausted ``(job, detail)`` pairs (see
-    :func:`_run_serial`)."""
+    last_failure, metrics, on_result=None,
+) -> None:
+    """Pooled execution of *misses* with retry rounds and salvage,
+    degrading to :func:`_run_in_process` when pools keep breaking."""
     _prewarm_models(job for _, job in misses)
     cache_name = cache.name if cache is not None else None
     cache_root = str(cache.root) if cache is not None else None
     attempts = {key: 0 for key, _ in misses}
-    last_failure: dict = {}
     pending = list(misses)
     broken_rounds = 0
     retry_round = 0
@@ -818,18 +798,13 @@ def _run_pool(
         if broken_rounds >= _POOL_BREAK_LIMIT:
             # Fresh pools keep dying on this host; stop feeding it
             # workers and finish the remaining points in-process.
-            _run_degraded(
-                pending, cache, trace_mode, retries, attempts,
-                last_failure, resolved, metrics, on_result,
+            _run_in_process(
+                pending, cache, trace_mode, retries, resolved, last_failure,
+                metrics, on_result, attempts,
             )
             break
         retry_round += 1
         time.sleep(_retry_backoff_s(retry_round))
-    return [
-        last_failure[key]
-        for key, _ in misses
-        if key not in resolved and key in last_failure
-    ]
 
 
 def run_jobs(
@@ -930,6 +905,7 @@ def _execute_jobs(
     sinks: dict[str, list[int]] = {}
     resolved: dict[str, SimResult] = {}
     misses: list[tuple[str, SimJob]] = []
+    probe_quarantined = cache.quarantined if cache is not None else 0
     for index, job in enumerate(jobs):
         key = job.cache_key()
         slots = sinks.get(key)
@@ -945,18 +921,26 @@ def _execute_jobs(
                 on_result(key, hit, {"cached": True})
         else:
             misses.append((key, job))
+    if cache is not None:
+        metrics.quarantined += cache.quarantined - probe_quarantined
 
     trace_mode = resolve_trace_mode()
-    failures: list = []
+    last_failure: dict = {}
     if misses and (workers <= 1 or len(misses) == 1):
-        failures = _run_serial(
-            misses, cache, trace_mode, retries, resolved, metrics, on_result
+        _run_in_process(
+            misses, cache, trace_mode, retries, resolved, last_failure,
+            metrics, on_result,
         )
     elif misses:
-        failures = _run_pool(
+        _run_pool(
             misses, workers, cache, trace_mode, retries, job_timeout,
-            resolved, metrics, on_result,
+            resolved, last_failure, metrics, on_result,
         )
+    failures = [
+        last_failure[key]
+        for key, _ in misses
+        if key not in resolved and key in last_failure
+    ]
 
     results: list[SimResult | None] = [None] * len(jobs)
     for key, indices in sinks.items():

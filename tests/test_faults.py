@@ -1,11 +1,12 @@
 """Fault-injected end-to-end tests for the harness fault-tolerance layer.
 
 Every degraded path — a worker killed mid-sweep, a job that raises, a
-corrupted result or trace shard, a timed-out job — must (a) recover
-without aborting the sweep, (b) produce ``SimResult``s byte-identical to
-a clean serial run, and (c) leave an audit trail: retry/timeout/death/
-quarantine counts in ``METRICS`` and a readable ``.reason.txt`` sidecar
-next to every quarantined entry.  A grid point that exhausts its retry
+corrupted result, trace or memo shard, a timed-out job — must (a)
+recover without aborting the sweep, (b) produce ``SimResult``s
+byte-identical to a clean serial run, and (c) leave an audit trail:
+retry/timeout/death/quarantine counts in ``METRICS`` (quarantines also
+on the store that made them) and a readable ``.reason.txt`` sidecar next
+to every quarantined entry.  A grid point that exhausts its retry
 budget must surface as one aggregated :class:`SimJobsFailed` naming
 every failed key.
 """
@@ -17,7 +18,7 @@ import time
 import pytest
 
 from repro.harness import faults
-from repro.harness.cache import ResultCache, TraceStore
+from repro.harness.cache import MemoStore, ResultCache, TraceStore
 from repro.harness.faults import FaultPlan, FaultSpec, InjectedFault, parse_specs
 from repro.harness.parallel import (
     METRICS,
@@ -39,6 +40,19 @@ GRID = tuple(
     for w in ("fibo", "n-sieve")
     for scheme in ("baseline", "scd")
 )
+
+#: The three sharded stores; every one honours the same shard contract.
+STORES = pytest.mark.parametrize(
+    "store_cls", (ResultCache, TraceStore, MemoStore),
+    ids=lambda cls: cls.__name__,
+)
+
+#: A loop long enough for replay to learn (and persist) a memo table.
+LOOP_SOURCE = (
+    'var i = 0;\nwhile (i < 5000) { i = i + 1; }\n'
+    'print("done " .. i);\n'
+)
+
 
 @pytest.fixture
 def pool_cpus(monkeypatch):
@@ -287,13 +301,37 @@ class TestJobTimeout:
             assert resolve_retries() == 2
 
 
+@pytest.fixture(scope="module")
+def shard_samples(tmp_path_factory):
+    """One valid value per store class, from a real record + memo run."""
+    from repro.core.simulation import simulate
+    from repro.vm.capture import RecordedTrace
+
+    root = tmp_path_factory.mktemp("shard-samples")
+    traces, memos = TraceStore(root=root), MemoStore(root=root)
+    simulate(
+        "loop", vm="lua", scheme="scd", source=LOOP_SOURCE,
+        trace_store=traces, trace_mode="record",
+    )
+    result = simulate(
+        "loop", vm="lua", scheme="scd", source=LOOP_SOURCE,
+        trace_store=traces, trace_mode="replay", memo_store=memos,
+    )
+    (trace_shard,) = traces.path.glob("*.bin")
+    (memo_shard,) = memos.path.glob("*.bin")
+    return {
+        ResultCache: result,
+        TraceStore: RecordedTrace.from_bytes(trace_shard.read_bytes()),
+        MemoStore: memo_shard.read_bytes(),
+    }
+
+
 class TestShardQuarantine:
     def test_corrupt_result_entry_quarantined_with_reason(self, tmp_path):
         cache = ResultCache("q", root=tmp_path)
         (clean,) = run_jobs([GRID[0]], workers=1, cache=cache)
         path = cache.entry_path(GRID[0].cache_key())
         path.write_text('{"key": "q", "res')  # torn mid-write
-        before = METRICS.quarantined
         fresh = ResultCache("q", root=tmp_path)
         assert fresh.get(GRID[0].cache_key()) is None
         assert not path.exists()
@@ -301,7 +339,7 @@ class TestShardQuarantine:
         assert quarantined.exists()
         reason = quarantined.with_name(quarantined.name + ".reason.txt")
         assert "reason:" in reason.read_text()
-        assert METRICS.quarantined == before + 1
+        assert fresh.quarantined == 1
         # The slot is reusable: a re-run recomputes and re-populates it.
         (again,) = run_jobs([GRID[0]], workers=1, cache=fresh)
         assert result_bytes([again]) == result_bytes([clean])
@@ -336,12 +374,8 @@ class TestShardQuarantine:
         read, moves to quarantine, and the replay falls back to an empty
         memo with byte-identical results."""
         from repro.core.simulation import simulate
-        from repro.harness.cache import MemoStore
 
-        source = (
-            'var i = 0;\nwhile (i < 5000) { i = i + 1; }\n'
-            'print("done " .. i);\n'
-        )
+        source = LOOP_SOURCE
         store = TraceStore(root=tmp_path)
         memos = MemoStore(root=tmp_path)
         simulate(
@@ -357,7 +391,6 @@ class TestShardQuarantine:
         blob = bytearray(entries[0].read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         entries[0].write_bytes(bytes(blob))
-        before = METRICS.quarantined
         fresh = MemoStore(root=tmp_path)
         meta: dict = {}
         result = simulate(
@@ -367,7 +400,7 @@ class TestShardQuarantine:
         )
         assert meta["memo_loaded"] == 0
         assert result.to_dict() == reference.to_dict()
-        assert METRICS.quarantined == before + 1
+        assert fresh.quarantined == 1
         quarantine_dir = tmp_path / "quarantine" / "memos"
         files = list(quarantine_dir.glob("*.bin"))
         assert len(files) == 1
@@ -376,10 +409,48 @@ class TestShardQuarantine:
         # The slot was re-learned and re-persisted by the fallback run.
         assert list(fresh.path.glob("*.bin"))
 
-    def test_missing_entry_is_not_quarantined(self, tmp_path):
-        cache = ResultCache("missing", root=tmp_path)
-        assert cache.get("never-written") is None
+    @pytest.mark.parametrize(
+        "garbage", (b"garbage" * 16, b"\xff\xfe torn"),
+        ids=("ascii", "non-utf8"),
+    )
+    @STORES
+    def test_garbage_shard_quarantined_with_reason(
+        self, store_cls, garbage, tmp_path
+    ):
+        store = store_cls(root=tmp_path)
+        path = store.entry_path("k")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(garbage)
+        assert store.get("k") is None
+        assert (store.misses, store.quarantined) == (1, 1)
+        assert not path.exists()
+        moved = tmp_path / "quarantine" / store.name / path.name
+        assert moved.read_bytes() == garbage
+        reason = moved.with_name(moved.name + ".reason.txt")
+        assert "reason:" in reason.read_text()
+
+    @STORES
+    def test_missing_entry_is_not_quarantined(self, store_cls, tmp_path):
+        store = store_cls(root=tmp_path)
+        assert store.get("never-written") is None
+        assert (store.misses, store.quarantined) == (1, 0)
         assert not (tmp_path / "quarantine").exists()
+
+    @STORES
+    def test_put_reads_back_from_fresh_instance(
+        self, store_cls, shard_samples, tmp_path
+    ):
+        store_cls(root=tmp_path).put("k", shard_samples[store_cls])
+        fresh = store_cls(root=tmp_path)
+        value = fresh.get("k")
+        assert value is not None and fresh.hits == 1
+        # Re-encoding the decoded value reproduces the entry byte for byte.
+        again = store_cls(root=tmp_path / "again")
+        again.put("k", value)
+        assert (
+            again.entry_path("k").read_bytes()
+            == fresh.entry_path("k").read_bytes()
+        )
 
     def test_injected_result_shard_corruption_end_to_end(
         self, tmp_path, monkeypatch

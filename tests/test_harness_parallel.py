@@ -142,7 +142,16 @@ class TestMetricsAndCallbacks:
         own = ThroughputMetrics()
         run_jobs(SMALL[:2], workers=1, cache=tmp_cache, metrics=own)
         assert own.sims == 2
+        # A torn (non-UTF-8) shard is quarantined into the caller's
+        # metrics as well, and recomputed.
+        key = SMALL[0].cache_key()
+        tmp_cache.entry_path(key).write_bytes(b"\xff\xfe torn")
+        torn = ThroughputMetrics()
+        fresh = ResultCache(tmp_cache.name, root=tmp_cache.root)
+        run_jobs(SMALL[:1], workers=2, cache=fresh, metrics=torn)
+        assert (torn.quarantined, torn.sims) == (1, 1)
         assert METRICS.sims == 0 and METRICS.cache_hits == 0
+        assert METRICS.quarantined == 0
 
     def test_on_result_fires_once_per_distinct_key(self, tmp_cache):
         seen = []
