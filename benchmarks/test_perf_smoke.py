@@ -102,11 +102,13 @@ def test_dispatch_throughput_guard(tmp_path):
 def test_trace_replay_speedup(tmp_path):
     """Cold-record vs warm-replay sweep over the 8-point TRACE_GRID.
 
-    The cold sweep interprets every grid point while recording traces;
-    the warm sweep resolves the same points from the recorded traces
-    (distinct result-cache names, shared root, so result-cache hits
-    cannot mask the comparison).  Asserts byte-identical results, a
-    blended >= MIN_TRACE_SPEEDUP, and a replay-throughput floor.
+    The cold sweep interprets every grid point into a trace, stores it
+    and times it by replaying it, persisting the steady-state memos that
+    replay learns; the warm sweep resolves the same points from the
+    recorded traces and imports those memos (distinct result-cache
+    names, shared root, so result-cache hits cannot mask the
+    comparison).  Asserts byte-identical results, a blended >=
+    MIN_TRACE_SPEEDUP, and a replay-throughput floor.
     """
     # Warm the model assembly so the cold sweep measures interpretation.
     simulate("fibo", vm="lua", scheme="scd", n=8, check_output=False)
@@ -137,9 +139,9 @@ def test_trace_replay_speedup(tmp_path):
         memo_events = METRICS.memo_events
 
         # Second warm sweep, fresh result cache, same root: the harness
-        # auto-wires a MemoStore per cache root, so this sweep imports
-        # the memo tables the first warm sweep persisted and skips the
-        # warm-up chunks a brand-new session would otherwise re-simulate.
+        # auto-wires a MemoStore per cache root, so like the first warm
+        # sweep this one imports the memo tables the earlier sweeps
+        # persisted and skips the warm-up chunks they already simulated.
         METRICS.reset()
         start = time.perf_counter()
         warm2 = run_jobs(

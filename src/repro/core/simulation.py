@@ -1,8 +1,9 @@
 """Top-level simulation driver.
 
-One :func:`simulate` call runs a workload functionally on the chosen guest
-VM while replaying its trace through the native interpreter model onto the
-embedded-core timing model, and returns a :class:`SimResult`.
+One :func:`simulate` call replays a workload's trace — a stored one, or
+one just recorded by running the guest VM — through the native
+interpreter model onto the embedded-core timing model, and returns a
+:class:`SimResult`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from repro import obs
 from repro.core.results import SimResult
 from repro.native.model import ModelRunner, get_model
 from repro.uarch.config import CoreConfig, cortex_a5
-from repro.uarch.pipeline import Machine, SteadyStateMemo
+from repro.uarch.pipeline import Machine, MemoFormatError, SteadyStateMemo
 from repro.vm.capture import (
+    MEMO_CHUNK_EVENTS,
     TraceMissError,
     TraceRecorder,
     replay_events,
@@ -107,26 +109,27 @@ def simulate(
         check_output: verify the VM output against the workload's Python
             reference (skipped for raw sources or explicit *n*).
         metrics: optional dict that receives per-run throughput metadata
-            (``wall_s``, ``events``, ``events_per_s``, ``replayed``,
-            ``memo_hits``, ``memo_events``).  Kept out of
+            (``wall_s``, ``guest_s`` — guest interpretation, 0.0 when
+            ``replayed`` from the store — ``events``, ...).  Kept out of
             :class:`SimResult` so the cached, deterministic experiment
             numbers never depend on wall-clock time.
         trace_store: optional :class:`repro.harness.cache.TraceStore`.
-            When given, the functional event stream is recorded on the
-            first run of a (vm, source) pair and replayed — skipping VM
-            interpretation entirely — on every subsequent run, regardless
-            of scheme or machine configuration (the stream depends on
-            neither).  ``None`` (the default) keeps ``simulate`` pure:
-            no trace files are read or written.
+            When given, the event stream recorded on the first run of a
+            (vm, source) pair is stored, and every later run replays it
+            — skipping VM interpretation entirely — regardless of scheme
+            or machine configuration (the stream depends on neither).
+            ``None`` (the default) keeps ``simulate`` pure: no trace
+            files are read or written.
         trace_mode: ``"auto"`` (replay if recorded, else record),
             ``"record"`` (force re-interpretation and overwrite),
             ``"replay"`` (require a recorded trace, raise
             :class:`~repro.vm.capture.TraceMissError` otherwise) or
-            ``"off"``.  ``None`` defers to
+            ``"off"`` (no trace- or memo-store reads or writes).  Timing
+            replays the same trace in every mode.  ``None`` defers to
             :func:`repro.vm.capture.resolve_trace_mode` (CLI flags /
             ``SCD_REPRO_TRACE`` / ``"auto"``).
-        replay_memo: enable the steady-state timing memo on replayed runs
-            (exact by construction; set False for the belt-and-braces
+        replay_memo: enable the steady-state timing memo (exact by
+            construction; set False for the belt-and-braces
             event-by-event replay path).
         use_kernel: replay through the exec-compiled kernels (default);
             False selects the interpreted reference path.
@@ -138,7 +141,7 @@ def simulate(
             they travel in :attr:`repro.harness.parallel.SimJob.kwargs`
             so pool workers see them under any start method.
         memo_store: optional :class:`repro.harness.cache.MemoStore`.  When
-            given together with a replayed trace and ``replay_memo``, the
+            given with ``replay_memo`` outside ``"off"`` mode, the
             steady-state memo's transition table is loaded from (and, when
             it learned new transitions, saved back to) the store — so a
             second process skips the warm-up chunks the first one already
@@ -182,86 +185,74 @@ def simulate(
         )
     runner.start()
 
-    recorded = None
-    key = None
-    if mode != "off":
-        key = trace_key(vm, source, max_steps)
-        if mode != "record":
-            with obs.span("cache", store="traces") as cache_span:
-                recorded = trace_store.get(key)
-                cache_span.annotate(hit=recorded is not None)
-        if recorded is None and mode == "replay":
+    key = trace_key(vm, source, max_steps)
+    trace = None
+    if mode not in ("off", "record"):
+        with obs.span("cache", store="traces") as cache_span:
+            trace = trace_store.get(key)
+            cache_span.annotate(hit=trace is not None)
+        if trace is None and mode == "replay":
             raise TraceMissError(
                 f"no recorded trace for {vm}/{workload} "
                 "(run once with --record or trace_mode='auto' first)"
             )
-    memo = None
-    memo_codec = memo_store_key = None
-    if recorded is not None:
-        # Replay the recorded columns; the guest VM never runs.
-        with obs.span("replay", memo=replay_memo) as phase:
-            if replay_memo:
-                memo = SteadyStateMemo(machine, runner)
-                if memo_store is not None:
-                    from repro.harness.cache import memo_key
-                    from repro.uarch.pipeline import MemoFormatError
-                    from repro.vm.capture import MEMO_CHUNK_EVENTS
-
-                    memo_codec = model.memo_codec()
-                    memo_store_key = memo_key(
-                        key,
-                        scheme,
-                        config,
-                        context_switch_interval,
-                        context_switch_policy,
-                        model.structure_digest(),
-                        MEMO_CHUNK_EVENTS,
-                    )
-                    with obs.span("cache", store="memos") as memo_span:
-                        payload = memo_store.get(memo_store_key)
-                        if payload is not None:
-                            try:
-                                memo.import_payload(
-                                    payload, memo_codec, memo_store_key
-                                )
-                            except MemoFormatError as exc:
-                                # Structurally valid frame, unbindable
-                                # interior (e.g. a geometry-mismatched
-                                # BTB digest): quarantine the shard and
-                                # fall back to an empty memo.
-                                memo_store.quarantine(
-                                    memo_store_key, str(exc)
-                                )
-                        memo_span.annotate(entries=memo.loaded)
-                replay_events_memo(recorded, runner, memo)
-            else:
-                replay_events(recorded, runner.on_event, runner=runner)
-            phase.annotate(events=runner.events)
-        if memo is not None and memo.dirty and memo_store_key is not None:
-            with obs.span("cache", store="memos"):
-                memo_store.put(
-                    memo_store_key,
-                    memo.export_payload(memo_codec, memo_store_key),
-                )
-        output = list(recorded.output)
-        guest_steps = recorded.guest_steps
-    else:
+    replayed = trace is not None
+    guest_s = 0.0
+    if trace is None:
+        # Interpret the guest into the recorder; the timing model only
+        # ever sees the sealed columns, through the same replay below.
         with obs.span("compile", vm=vm, guest=True):
             guest = _make_vm(vm, source, max_steps)
+        with obs.span("record") as phase:
+            guest_start = time.perf_counter()
+            recorder = TraceRecorder()
+            output = guest.run(trace=recorder.hook)
+            trace = recorder.seal(output, guest.steps)
+            guest_s = time.perf_counter() - guest_start
+            phase.annotate(events=trace.n_events)
         if mode != "off":
-            with obs.span("record") as phase:
-                recorder = TraceRecorder(runner.on_event)
-                output = guest.run(trace=recorder.hook)
-                phase.annotate(events=runner.events)
             with obs.span("cache", store="traces"):
-                trace_store.put(key, recorder.seal(output, guest.steps))
+                trace_store.put(key, trace)
+    memo = None
+    memo_codec = memo_store_key = None
+    with obs.span("replay", memo=replay_memo) as phase:
+        if replay_memo:
+            memo = SteadyStateMemo(machine, runner)
+            if memo_store is not None and mode != "off":
+                from repro.harness.cache import memo_key
+
+                memo_codec = model.memo_codec()
+                memo_store_key = memo_key(
+                    key, scheme, config, context_switch_interval,
+                    context_switch_policy, model.structure_digest(),
+                    MEMO_CHUNK_EVENTS,
+                )
+                with obs.span("cache", store="memos") as memo_span:
+                    payload = memo_store.get(memo_store_key)
+                    if payload is not None:
+                        try:
+                            memo.import_payload(
+                                payload, memo_codec, memo_store_key
+                            )
+                        except MemoFormatError as exc:
+                            # Structurally valid frame, unbindable
+                            # interior (e.g. a geometry-mismatched BTB
+                            # digest): quarantine the shard and fall
+                            # back to an empty memo.
+                            memo_store.quarantine(memo_store_key, str(exc))
+                    memo_span.annotate(entries=memo.loaded)
+            replay_events_memo(trace, runner, memo)
         else:
-            with obs.span("simulate") as phase:
-                output = guest.run(trace=runner.on_event)
-                phase.annotate(events=runner.events)
-        guest_steps = guest.steps
+            replay_events(trace, runner.on_event, runner=runner)
+        phase.annotate(events=runner.events)
+    if memo is not None and memo.dirty and memo_store_key is not None:
+        with obs.span("cache", store="memos"):
+            memo_store.put(
+                memo_store_key, memo.export_payload(memo_codec, memo_store_key)
+            )
     runner.finish()
 
+    output = trace.output
     if expected is not None and list(output) != list(expected):
         raise AssertionError(
             f"{vm}/{workload}: functional output diverged from reference "
@@ -276,7 +267,8 @@ def simulate(
         metrics["wall_s"] = wall
         metrics["events"] = runner.events
         metrics["events_per_s"] = runner.events / wall if wall > 0 else 0.0
-        metrics["replayed"] = recorded is not None
+        metrics["guest_s"] = guest_s
+        metrics["replayed"] = replayed
         metrics["memo_hits"] = memo.hits if memo is not None else 0
         metrics["memo_events"] = memo.events_skipped if memo is not None else 0
         metrics["memo_loaded"] = memo.loaded if memo is not None else 0
@@ -297,7 +289,7 @@ def simulate(
         scale=scale if n is None else f"n={n}",
         cycles=stats.cycles,
         instructions=stats.instructions,
-        guest_steps=guest_steps,
+        guest_steps=trace.guest_steps,
         cpi=stats.cpi,
         branch_mpki=stats.branch_mpki,
         icache_mpki=stats.icache_mpki,

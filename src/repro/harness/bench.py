@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.harness.parallel import SimJob
 
-#: Extremely generous floor — the live hot path does ~60k events/s and
+#: Extremely generous floor — store-less simulate does ~60k events/s and
 #: warm trace replay ~375k events/s on a single 2020s laptop core with
 #: the exec-compiled kernels; anything under this means the hot path
 #: regressed by an order of magnitude (or the runner is pathological,
@@ -21,8 +21,8 @@ from repro.harness.parallel import SimJob
 MIN_EVENTS_PER_S = 8000.0
 
 #: A warm trace-cache sweep must beat re-interpreting the same grid by at
-#: least this factor (measured ~7.3x on one core with the compiled
-#: kernels; the floor leaves room for slow runners).
+#: least this factor (measured ~32x on two cores, the cold sweep's
+#: memos already persisted; the floor leaves room for slow runners).
 MIN_TRACE_SPEEDUP = 4.0
 
 #: Warm replay with compiled kernels must beat the interpreted

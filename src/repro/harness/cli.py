@@ -114,8 +114,8 @@ def _cmd_report(args) -> int:
     METRICS.reset()
     start = time.perf_counter()
     print(generate_report(corpus=getattr(args, "corpus", None)))
-    # The summary's "trace reuse" part shows the per-sweep time saved by
-    # replaying recorded event streams instead of re-interpreting.
+    # The summary's "trace reuse" part shows the per-sweep guest time
+    # saved by replaying stored event streams instead of re-interpreting.
     print(METRICS.summary(time.perf_counter() - start), file=sys.stderr)
     return 0
 
@@ -584,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     trace_group.add_argument(
         "--no-trace-cache",
         action="store_true",
-        help="disable trace recording/replay for this invocation",
+        help="no trace- or memo-store reads or writes for this invocation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -248,7 +248,7 @@ class ThroughputMetrics:
     events_replayed: int = 0
     events_interpreted: int = 0
     replay_wall_s: float = 0.0
-    interp_wall_s: float = 0.0
+    guest_s: float = 0.0
     memo_events: int = 0
     memo_loaded: int = 0
     kernel_events: int = 0
@@ -276,7 +276,7 @@ class ThroughputMetrics:
             self.memo_loaded += int(meta.get("memo_loaded", 0))
         else:
             self.events_interpreted += events
-            self.interp_wall_s += wall
+            self.guest_s += float(meta.get("guest_s", 0.0))
         self.kernel_events += int(meta.get("kernel_events", 0))
         self.fallback_events += int(meta.get("fallback_events", 0))
         self.batch_events += int(meta.get("batch_events", 0))
@@ -299,17 +299,17 @@ class ThroughputMetrics:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     def trace_savings_s(self) -> float | None:
-        """Estimated wall time the sweep saved by replaying recorded
-        traces instead of re-interpreting: replayed events priced at this
-        run's observed interpreting rate, minus what replay actually cost.
-        ``None`` when no interpreted run provides a rate to compare with.
+        """Estimated guest-interpretation time the sweep saved by
+        replaying stored traces: replayed events priced at this run's
+        observed guest time per interpreted event.  Both kinds of job pay
+        the same timing replay, so only the guest time is saved.  ``None``
+        when no interpreted run provides a rate to compare with.
         """
         if not self.events_replayed:
             return 0.0
-        if not self.events_interpreted or self.interp_wall_s <= 0:
+        if not self.events_interpreted or self.guest_s <= 0:
             return None
-        interp_rate = self.events_interpreted / self.interp_wall_s
-        return self.events_replayed / interp_rate - self.replay_wall_s
+        return self.events_replayed * self.guest_s / self.events_interpreted
 
     def fault_counts(self) -> dict[str, int]:
         """The degraded-path counters, in footer order."""

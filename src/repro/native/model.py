@@ -474,7 +474,7 @@ class ModelRunner:
 
         runner = ModelRunner(model, machine)
         runner.start()
-        vm.run(trace=runner.on_event)
+        replay_events(trace, runner.on_event, runner=runner)
         runner.finish()
 
     Args:
@@ -525,7 +525,7 @@ class ModelRunner:
         self._is_threaded = model.strategy == "threaded"
         self._is_superinst = model.strategy == "superinst"
         self._opcode_mask = model.opcode_mask
-        # The VM calls the trace hook once per guest bytecode; bind it to
+        # Replay calls on_event once per guest bytecode; bind it to
         # the replay body directly (no per-event forwarding call) unless
         # the strategy needs the one-deep fusion buffer.
         self.on_event = (

@@ -38,7 +38,6 @@ KNOWN_SPANS = (
     "compile",
     "record",
     "replay",
-    "simulate",
     # Sweep-service spans (repro.service): the daemon lifetime, one per
     # admitted submission, one per unique in-flight grid point, and one
     # per backend round over run_jobs_partial.

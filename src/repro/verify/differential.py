@@ -4,8 +4,8 @@ One generated program is pushed through the full cross-product of
 execution paths the harness supports:
 
 * every dispatch scheme in :data:`repro.core.simulation.SCHEMES`;
-* live interpretation vs a forced ``--record`` run vs trace replay vs
-  memoized (steady-state) trace replay;
+* a store-less ``live`` run vs a forced ``--record`` run vs trace
+  replay vs memoized (steady-state) trace replay;
 * serial in-process execution vs the process-pool fan-out of
   :mod:`repro.harness.parallel` (``workers=1`` vs ``workers=N``);
 * both guest VMs.
@@ -48,9 +48,11 @@ from repro.vm.capture import trace_key
 #: out around ~20k actual steps; anything past this is a runaway).
 VERIFY_MAX_STEPS = 2_000_000
 
-#: The execution paths every (vm, scheme) pair is run through.  The
-#: ``-nokernel`` variants force the event-by-event interpreted replay
-#: path (``use_kernel=False``), pinning the exec-compiled kernels'
+#: The execution paths every (vm, scheme) pair is run through.
+#: ``live``, the base every other path is diffed against, has no trace
+#: store: a fresh VM re-interprets the program, timed on the interpreted
+#: rung.  The ``-nokernel`` variants force the event-by-event interpreted
+#: replay path (``use_kernel=False``), pinning the exec-compiled kernels'
 #: byte-identity against the reference implementation.  The ``-nobatch``
 #: variants keep the kernels but disable superblock batch replay
 #: (``use_batch=False``), pinning the chunk-compiled path — which the
@@ -200,7 +202,7 @@ class DifferentialRunner:
                 for scheme in self.schemes:
                     results: dict = {}
                     try:
-                        # "record" forces live interpretation and
+                        # "record" forces re-interpretation and
                         # (over)writes the trace; the first scheme's record
                         # run seeds the store for every replay below.
                         mode = "record" if scheme == self.schemes[0] else None
@@ -209,7 +211,7 @@ class DifferentialRunner:
                                 source, vm, scheme, store, "record"
                             )
                         results["live"] = self._sim(
-                            source, vm, scheme, None, None
+                            source, vm, scheme, None, None, use_kernel=False
                         )
                         results["replay"] = self._sim(
                             source, vm, scheme, store, "replay", memo=False

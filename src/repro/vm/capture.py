@@ -17,9 +17,12 @@ bytes; any torn, truncated or version-mismatched file raises
 :class:`TraceFormatError`, which :class:`repro.harness.cache.TraceStore`
 reads back as a cache miss (the same contract as v3 result entries).
 
-Replay drives a :class:`repro.native.model.ModelRunner` straight from
-the columns (:func:`replay_events`), optionally through the steady-state
-timing memo (:func:`replay_events_memo`, see
+Every simulation times a replay: a run with no stored trace interprets
+the guest into a :class:`TraceRecorder`, seals it and replays the sealed
+columns like any stored trace.  Replay drives a
+:class:`repro.native.model.ModelRunner` straight from the columns
+(:func:`replay_events`), optionally through the steady-state timing
+memo (:func:`replay_events_memo`, see
 :class:`repro.uarch.pipeline.SteadyStateMemo`) which skips re-simulating
 event chunks whose machine state has reached a fixed point.  Which rung
 of the interpreted → kernel → batch ladder replays a range is decided by
@@ -400,19 +403,20 @@ class RecordedTrace:
 
 
 class TraceRecorder:
-    """Tee trace hook: buffers every event columnar-style while forwarding
-    it to a downstream consumer (usually ``ModelRunner.on_event``), so the
-    recording run still produces its own timing result.
+    """Trace hook that buffers every event columnar-style.
+
+    The recording run only interprets the guest; timing replays the
+    sealed trace afterwards, exactly as it replays a stored one.
 
     Usage::
 
-        recorder = TraceRecorder(runner.on_event)
+        recorder = TraceRecorder()
         output = vm.run(trace=recorder.hook)
-        store.put(key, recorder.seal(output, vm.steps))
+        trace = recorder.seal(output, vm.steps)
+        replay_events_memo(trace, runner, memo)
     """
 
-    def __init__(self, downstream=None):
-        self.downstream = downstream
+    def __init__(self):
         self._ops = array("h")
         self._sites = array("b")
         self._takens = array("b")
@@ -457,9 +461,6 @@ class TraceRecorder:
         self._daddr_ids.append(daddr_id)
         self._builtin_ids.append(builtin_id)
         self._cost_ids.append(cost_id)
-        downstream = self.downstream
-        if downstream is not None:
-            downstream(op, site, taken, callee, daddrs, builtin, cost)
 
     @property
     def events(self) -> int:

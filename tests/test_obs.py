@@ -15,6 +15,7 @@ from dataclasses import fields
 import pytest
 
 from repro import obs
+from repro.core.simulation import simulate
 from repro.harness.parallel import (
     METRICS,
     SimJob,
@@ -366,6 +367,83 @@ class TestWorkerMerge:
         log = validate_file(path)
         assert log.ok, log.errors
         assert all(job.attrs["cached"] for job in log.by_name("job"))
+
+
+class TestPhaseSpans:
+    """Golden phase spans: ``record`` covers guest interpretation only,
+    and every simulated job is timed inside one ``replay`` span."""
+
+    def test_recording_job_records_then_replays(self, tmp_path, tmp_cache):
+        path = tmp_path / "phases.jsonl"
+        obs.configure(path)
+        with obs.span("sweep"):
+            run_jobs(GRID[:2], workers=1, cache=tmp_cache)  # fibo x 2
+        obs.close()
+        log = validate_file(path)
+        assert log.ok, log.errors
+        assert not log.by_name("simulate")
+        jobs = {job.attrs["replayed"]: job for job in log.by_name("job")}
+        names = {
+            replayed: [child.name for child in job.children]
+            for replayed, job in jobs.items()
+        }
+        assert names[False].count("record") == names[False].count("replay") == 1
+        assert "record" not in names[True]
+        assert names[True].count("replay") == 1
+        recording = jobs[False]
+        (record,) = [c for c in recording.children if c.name == "record"]
+        (replay,) = [c for c in recording.children if c.name == "replay"]
+        assert (
+            record.attrs["events"]
+            == replay.attrs["events"]
+            == recording.attrs["events"]
+            > 0
+        )
+        assert record.t_end <= replay.t_start
+
+    def test_storeless_run_records_then_replays(self, tmp_path):
+        path = tmp_path / "storeless.jsonl"
+        obs.configure(path)
+        with obs.span("sweep"):
+            simulate("fibo", vm="lua", scheme="scd", n=8, check_output=False)
+        obs.close()
+        log = validate_file(path)
+        assert log.ok, log.errors
+        (sweep,) = log.by_name("sweep")
+        assert [child.name for child in sweep.children] == [
+            "compile", "compile", "record", "replay",
+        ]
+
+    def test_known_spans_vocabulary(self):
+        assert "simulate" not in KNOWN_SPANS
+        assert {"record", "replay"} <= set(KNOWN_SPANS)
+
+
+class TestTraceSavings:
+    """The footer's "~Xs saved" prices replayed events at the guest
+    interpretation time they avoided, not at a whole job's wall time."""
+
+    INTERPRETED = {"events": 1000, "wall_s": 2.0, "guest_s": 0.5}
+    REPLAYED = {"events": 3000, "wall_s": 1.0, "guest_s": 0.0, "replayed": True}
+
+    def test_replayed_events_priced_at_guest_time(self):
+        metrics = ThroughputMetrics()
+        metrics.record_sim(self.INTERPRETED)
+        metrics.record_sim(self.REPLAYED)
+        assert metrics.guest_s == 0.5
+        assert metrics.trace_savings_s() == pytest.approx(1.5)
+        assert "~1.5s saved" in metrics.summary()
+
+    def test_nothing_replayed_saves_nothing(self):
+        metrics = ThroughputMetrics()
+        metrics.record_sim(self.INTERPRETED)
+        assert metrics.trace_savings_s() == 0.0
+
+    def test_no_interpreted_job_has_no_estimate(self):
+        metrics = ThroughputMetrics()
+        metrics.record_sim(self.REPLAYED)
+        assert metrics.trace_savings_s() is None
+        assert "saved" not in metrics.summary()
 
 
 class TestMetricsReset:

@@ -1,17 +1,21 @@
 """Tests for the columnar trace capture/replay subsystem.
 
-Covers the PR's core exactness contracts: recorded-trace replay produces
-byte-identical results vs. live interpretation for every scheme on both
-VMs, the steady-state memo changes no counter while actually engaging,
-the binary format round-trips and rejects corruption as a miss, and the
-harness plumbing (modes, cache keys, execute_job reuse) behaves.
+Covers the core exactness contracts: recording, trace replay and
+store-less runs produce byte-identical results vs. an independent
+hook-driven reference (the guest's trace hook feeding the interpreted
+runner directly) for every scheme on both VMs, the steady-state memo
+changes no counter while actually engaging, the binary format
+round-trips and rejects corruption as a miss, and the harness plumbing
+(modes, cache keys, execute_job reuse) behaves.
 """
 
 import pytest
 
-from repro.core.simulation import SCHEMES, simulate
+from repro.core.results import SimResult
+from repro.core.simulation import SCHEMES, scheme_parts, simulate
 from repro.harness.cache import ResultCache, TraceStore
 from repro.harness.parallel import SimJob, execute_job
+from repro.native.model import ModelRunner, get_model
 from repro.uarch.config import cortex_a5
 from repro.uarch.pipeline import Machine
 from repro.vm import capture
@@ -24,7 +28,11 @@ from repro.vm.capture import (
     set_default_trace_mode,
     trace_key,
 )
+from repro.vm.js import JsVM
 from repro.vm.lua import LuaVM
+from repro.workloads import workload as get_workload
+
+VMS = {"lua": LuaVM, "js": JsVM}
 
 ALL_SCHEMES = SCHEMES + ("ttc", "cascaded", "ittage", "superinst")
 
@@ -43,6 +51,51 @@ def _reset_trace_mode():
     set_default_trace_mode(None)
     yield
     set_default_trace_mode(None)
+
+
+def _hook_driven(vm, scheme, n=8, context_switch_interval=None):
+    """Independent reference for ``simulate("fibo", n=n, ...)``.
+
+    The guest VM's trace hook feeds the interpreted :class:`ModelRunner`
+    event by event: no recorder, no trace, no replay driver and no
+    compiled kernels between interpretation and the timing model.
+    """
+    strategy, indirect = scheme_parts(scheme)
+    config = cortex_a5().with_changes(indirect_scheme=indirect)
+    machine = Machine(config)
+    runner = ModelRunner(
+        get_model(vm, strategy),
+        machine,
+        context_switch_interval=context_switch_interval,
+        use_kernel=False,
+    )
+    runner.start()
+    guest = VMS[vm].from_source(get_workload("fibo").source(n=n))
+    output = guest.run(trace=runner.on_event)
+    runner.finish()
+    stats = machine.finalize()
+    return SimResult(
+        vm=vm,
+        scheme=scheme,
+        workload="fibo",
+        config_name=config.name,
+        scale=f"n={n}",
+        cycles=stats.cycles,
+        instructions=stats.instructions,
+        guest_steps=guest.steps,
+        cpi=stats.cpi,
+        branch_mpki=stats.branch_mpki,
+        icache_mpki=stats.icache_mpki,
+        dcache_mpki=stats.dcache_mpki,
+        dispatch_fraction=stats.dispatch_fraction(),
+        bop_hits=stats.bop_hits,
+        bop_misses=stats.bop_misses,
+        jte_inserts=stats.jte_inserts,
+        mispredicts_by_category=dict(stats.mispredicts_by_category),
+        insts_by_category=dict(stats.insts_by_category),
+        cycle_breakdown=dict(stats.cycle_breakdown),
+        output=tuple(output),
+    )
 
 
 def _record_trace(store, source):
@@ -67,31 +120,40 @@ class TestRoundTrip:
         assert clone.guest_steps == trace.guest_steps
         assert clone.key == trace.key
 
-    def test_recorder_tees_downstream(self):
-        seen = []
-        recorder = TraceRecorder(lambda *event: seen.append(event))
-        vm = LuaVM.from_source('print(1 + 2);')
-        output = vm.run(trace=recorder.hook)
-        assert recorder.events == len(seen) > 0
-        trace = recorder.seal(output, vm.steps)
+    @pytest.mark.parametrize("vm", ("lua", "js"))
+    def test_sealed_events_equal_raw_hook_stream(self, vm):
+        source = get_workload("fibo").source(n=8)
+        raw = []
+        VMS[vm].from_source(source).run(trace=lambda *event: raw.append(event))
+        recorder = TraceRecorder()
+        guest = VMS[vm].from_source(source)
+        output = guest.run(trace=recorder.hook)
+        trace = recorder.seal(output, guest.steps)
+        assert recorder.events == trace.n_events == len(raw) > 0
+        assert list(trace.iter_events()) == raw
         replayed = []
         capture.replay_events(trace, lambda *event: replayed.append(event))
-        assert replayed == seen
+        assert replayed == raw
 
 
 class TestReplayIdentity:
     @pytest.mark.parametrize("vm", ("lua", "js"))
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_replay_identical_to_live(self, store, vm, scheme):
-        live = simulate(
-            "fibo", vm=vm, scheme=scheme, n=8, check_output=False,
-            trace_store=store, trace_mode="record",
+        reference = _hook_driven(vm, scheme)
+        kwargs = dict(vm=vm, scheme=scheme, n=8, check_output=False)
+        recorded = simulate(
+            "fibo", trace_store=store, trace_mode="record", **kwargs
         )
         replayed = simulate(
-            "fibo", vm=vm, scheme=scheme, n=8, check_output=False,
-            trace_store=store, trace_mode="replay",
+            "fibo", trace_store=store, trace_mode="replay", **kwargs
         )
-        assert replayed == live
+        storeless = simulate("fibo", **kwargs)
+        # SimResult equality covers cycles, instructions, output and
+        # every counter field.
+        assert recorded == reference
+        assert replayed == reference
+        assert storeless == reference
 
     def test_trace_shared_across_schemes(self, store):
         """One recording serves every scheme: the event stream does not
@@ -111,13 +173,15 @@ class TestReplayIdentity:
             assert replayed == pure
 
     def test_context_switch_interval_identity(self, store):
+        reference = _hook_driven("lua", "scd", context_switch_interval=100)
         kwargs = dict(
             vm="lua", n=8, check_output=False,
             context_switch_interval=100, trace_store=store,
         )
-        live = simulate("fibo", scheme="scd", trace_mode="record", **kwargs)
+        recorded = simulate("fibo", scheme="scd", trace_mode="record", **kwargs)
         replayed = simulate("fibo", scheme="scd", trace_mode="replay", **kwargs)
-        assert replayed == live
+        assert recorded == reference
+        assert replayed == reference
 
 
 class TestSteadyStateMemo:
@@ -260,6 +324,9 @@ class TestHarnessIntegration:
         _, meta_second = execute_job(second, cache)
         assert meta_first["replayed"] is False
         assert meta_second["replayed"] is True
+        # Guest time is paid by the recording job only.
+        assert meta_first["guest_s"] > 0
+        assert meta_second["guest_s"] == 0.0
         result, _ = execute_job(second, cache)
         pure = simulate(
             "fibo", vm="lua", scheme="scd", n=8, check_output=False,
